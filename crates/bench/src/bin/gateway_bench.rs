@@ -22,6 +22,11 @@
 //! `BENCH_gateway_metrics.jsonl`), validates both formats, and A/B
 //! gates the scraper's overhead on decode throughput.
 //!
+//! With `--c10k`, hundreds of mostly-idle decode sessions are held open
+//! on one server: its thread count must stay O(workers), and the active
+//! load's infer p99 with them open must stay within the gate of its p99
+//! on the same server before they existed.
+//!
 //! With `--chaos`, a fault-injection phase arms a scripted `faultline`
 //! plan — panics in the runtime workers, the decode batcher, and the
 //! transport layer, plus stalls and connection faults — and drives
@@ -31,7 +36,7 @@
 //! land in the stats counters and the flight recorder, health flips
 //! off `ok` and pins an incident snapshot, and once the plan disarms
 //! the same gateway serves bit-exact traffic and health returns to
-//! `ok`. CI runs this phase under both `PANACEA_IO_MODEL` transports.
+//! `ok`.
 //!
 //! Results go to `BENCH_gateway.json` so the serving-latency trajectory
 //! is tracked across PRs. Set `GATEWAY_BENCH_SMOKE=1` to run a reduced
@@ -48,7 +53,7 @@ use panacea_faultline::{Fault, FaultPlan, Scenario};
 use panacea_gateway::testutil::{block_model, hidden, models};
 use panacea_gateway::{
     AdmissionConfig, CacheConfig, ClientConfig, ErrorKind, Gateway, GatewayClient, GatewayConfig,
-    GatewayError, GatewayServer, IoModel, ServerConfig, SloConfig, SloStatus, SloTarget,
+    GatewayError, GatewayServer, ServerConfig, SloConfig, SloStatus, SloTarget,
 };
 use panacea_serve::{BatchPolicy, RuntimeConfig};
 use serde_json::{json, Value};
@@ -107,8 +112,15 @@ struct LevelOutcome {
 /// One load trial: `clients` concurrent connections, split between
 /// stateless infer traffic and decode sessions, all latencies measured
 /// client-side. Payloads are salted per request so the request cache
-/// never short-circuits the serving path.
-fn run_level(addr: std::net::SocketAddr, clients: usize, requests: usize) -> LevelOutcome {
+/// never short-circuits the serving path; `salt` (below 200) shifts the
+/// infer payloads' first row, so trials repeated against one server
+/// never replay each other's cached answers.
+fn run_level(
+    addr: std::net::SocketAddr,
+    clients: usize,
+    requests: usize,
+    salt: usize,
+) -> LevelOutcome {
     let barrier = Arc::new(Barrier::new(clients));
     let mut threads = Vec::new();
     let started = Instant::now();
@@ -122,7 +134,8 @@ fn run_level(addr: std::net::SocketAddr, clients: usize, requests: usize) -> Lev
                 // Infer client: unique codes per request (no cache hits).
                 for i in 0..requests {
                     let x = panacea_tensor::Matrix::from_fn(16, 1, |r, _| {
-                        ((r * 31 + (t * 10_000 + i) * 13) % 200) as i32
+                        let shift = if r == 0 { salt } else { 0 };
+                        ((r * 31 + (t * 10_000 + i) * 13 + shift) % 200) as i32
                     });
                     let begun = Instant::now();
                     client.infer_codes(CHAIN_MODEL, x).expect("infer served");
@@ -468,12 +481,13 @@ fn run_export(smoke: bool) -> Value {
 }
 
 /// C10K gates. The reactor's whole point is that thread count stays
-/// O(workers) while connections scale — so the server-side thread
-/// growth under hundreds of idle sessions is a hard bound, not a
-/// recording. The latency gate compares the reactor against the
-/// threaded baseline at the nominal client levels; best-of-3 per arm
-/// plus a small absolute slack absorbs single-core scheduler noise on
-/// samples this small without hiding a real regression.
+/// O(workers) while connections scale, and that an idle mass of
+/// connections does not tax the active ones — so the server-side thread
+/// growth under hundreds of idle sessions is a hard bound, and the
+/// active infer p99 with the idle mass held open is gated against the
+/// same server's p99 before it existed. Best-of-3 per side plus a small
+/// absolute slack absorbs single-core scheduler noise on samples this
+/// small without hiding a real regression.
 const C10K_MAX_IO_THREAD_FACTOR: usize = 2;
 const C10K_P99_RATIO: f64 = 1.15;
 const C10K_P99_SLACK_US: f64 = 2_000.0;
@@ -501,35 +515,38 @@ fn proc_fds() -> usize {
         .expect("read /proc/self/fd")
 }
 
-/// One nominal-load trial against a fresh server under the given io
-/// model, returning the client-side infer p99 in microseconds.
-fn nominal_infer_p99(io_model: IoModel, clients: usize, requests: usize) -> f64 {
-    let gateway = nominal_gateway();
-    let mut server = GatewayServer::bind_with(
-        gateway,
-        "127.0.0.1:0",
-        ServerConfig {
-            io_model,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let out = run_level(server.local_addr(), clients, requests);
-    server.shutdown();
-    quantile_us(&out.infer_us, 0.99)
+/// `C10K_TRIALS` active-load trials against one server, salted from
+/// `salt` up. Returns the best trial's infer p99 (µs) and every trial's
+/// infer and decode latencies pooled and sorted.
+fn active_trials(
+    addr: std::net::SocketAddr,
+    clients: usize,
+    requests: usize,
+    salt: usize,
+) -> (f64, Vec<f64>, Vec<f64>) {
+    let mut best_p99 = f64::INFINITY;
+    let (mut infer_us, mut decode_us) = (Vec::new(), Vec::new());
+    for trial in 0..C10K_TRIALS {
+        let out = run_level(addr, clients, requests, salt + trial);
+        best_p99 = best_p99.min(quantile_us(&out.infer_us, 0.99));
+        infer_us.extend(out.infer_us);
+        decode_us.extend(out.decode_us);
+    }
+    infer_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    decode_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    (best_p99, infer_us, decode_us)
 }
 
 /// The `--c10k` phase: hold hundreds of mostly-idle decode sessions
-/// open on one reactor-model server while a mixed infer/decode load
-/// runs through it, and prove the resource story — file descriptors
-/// scale with connections, threads do not. Then race the reactor
-/// against the threaded transport at the nominal client levels and
-/// gate the p99 regression.
-fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
+/// open on one server while a mixed infer/decode load runs through it,
+/// and prove the resource story — file descriptors scale with
+/// connections, threads do not — and the latency story: the active
+/// load's infer p99 with the idle mass open stays within the gate of
+/// its p99 on the same server before any idle session existed.
+fn run_c10k(smoke: bool) -> Value {
     let sessions = if smoke { 160 } else { 512 };
     let active_clients = 8;
     let active_requests = if smoke { 8 } else { 30 };
-    let compare_requests = if smoke { 12 } else { 30 };
     let nofile = sys_poll::raise_nofile_limit().expect("raise RLIMIT_NOFILE");
     assert!(
         nofile as usize > 2 * sessions + 64,
@@ -545,12 +562,15 @@ fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
         "127.0.0.1:0",
         ServerConfig {
             max_connections: sessions + 64,
-            io_model: IoModel::Reactor,
             ..ServerConfig::default()
         },
     )
     .expect("bind");
     let addr = server.local_addr();
+
+    // The baseline: the active load on this server before any idle
+    // session exists.
+    let (pre_idle_p99, _, _) = active_trials(addr, active_clients, active_requests, 1);
 
     // Mostly-idle sessions: each one connects, opens a KV session,
     // decodes a single token, then sits idle for the rest of the phase
@@ -593,14 +613,22 @@ fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
         "idle sessions were evicted under no pressure"
     );
 
-    // Mixed active load riding on top of the idle mass: the reactor is
-    // polling ~all those registered fds every iteration while these
+    // The same active load riding on top of the idle mass: the reactor
+    // is polling ~all those registered fds every iteration while these
     // clients need answers.
-    let active = run_level(addr, active_clients, active_requests);
-    let active_infer_p50 = quantile_us(&active.infer_us, 0.50);
-    let active_infer_p99 = quantile_us(&active.infer_us, 0.99);
-    let active_decode_p50 = quantile_us(&active.decode_us, 0.50);
-    let active_decode_p99 = quantile_us(&active.decode_us, 0.99);
+    let (idle_p99, active_infer, active_decode) =
+        active_trials(addr, active_clients, active_requests, 1 + C10K_TRIALS);
+    let ratio = idle_p99 / pre_idle_p99;
+    println!(
+        "c10k idle tax: active infer p99 {pre_idle_p99:.1}µs before the idle mass, \
+         {idle_p99:.1}µs with it, ratio {ratio:.3}"
+    );
+    assert!(
+        idle_p99 <= pre_idle_p99 * C10K_P99_RATIO + C10K_P99_SLACK_US,
+        "active infer p99 {idle_p99:.1}µs with {sessions} idle sessions open regressed \
+         past {pre_idle_p99:.1}µs without them \
+         (gate {C10K_P99_RATIO}x + {C10K_P99_SLACK_US}µs)"
+    );
 
     let stats_after = probe.stats().expect("stats after active load");
     assert_eq!(
@@ -619,42 +647,15 @@ fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
     }
     drop(probe);
     server.shutdown();
+    let active_infer_p99 = quantile_us(&active_infer, 0.99);
+    let active_decode_p99 = quantile_us(&active_decode, 0.99);
     println!(
         "c10k: {sessions} idle sessions on {io_threads} server threads \
          ({} fds), active p99 infer {active_infer_p99:.1}µs / \
          decode {active_decode_p99:.1}µs ✓",
         fds_idle - fds_before
     );
-
-    // Reactor-vs-threaded latency at the nominal levels.
-    let mut comparisons: Vec<Value> = Vec::new();
-    for &clients in levels {
-        let best = |io_model: IoModel| {
-            (0..C10K_TRIALS)
-                .map(|_| nominal_infer_p99(io_model, clients, compare_requests))
-                .fold(f64::INFINITY, f64::min)
-        };
-        let threaded_p99 = best(IoModel::Threaded);
-        let reactor_p99 = best(IoModel::Reactor);
-        let ratio = reactor_p99 / threaded_p99;
-        println!(
-            "c10k compare {clients:>2} clients: threaded p99 {threaded_p99:>9.1}µs  \
-             reactor p99 {reactor_p99:>9.1}µs  ratio {ratio:.3}"
-        );
-        assert!(
-            reactor_p99 <= threaded_p99 * C10K_P99_RATIO + C10K_P99_SLACK_US,
-            "reactor infer p99 {reactor_p99:.1}µs regressed past the threaded \
-             baseline {threaded_p99:.1}µs at {clients} clients \
-             (gate {C10K_P99_RATIO}x + {C10K_P99_SLACK_US}µs)"
-        );
-        comparisons.push(json!({
-            "clients": clients,
-            "threaded_infer_p99_us": threaded_p99,
-            "reactor_infer_p99_us": reactor_p99,
-            "ratio": ratio,
-        }));
-    }
-    println!("c10k gates: threads O(workers), reactor p99 within {C10K_P99_RATIO}x threaded ✓");
+    println!("c10k gates: threads O(workers), idle mass within {C10K_P99_RATIO}x active p99 ✓");
 
     json!({
         "sessions": sessions,
@@ -665,11 +666,15 @@ fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
         "open_connections": stats.connections.open,
         "peak_connections": stats_after.connections.peak,
         "evicted_connections": stats_after.connections.evicted,
-        "active_infer_p50_us": active_infer_p50,
+        "active_infer_p50_us": quantile_us(&active_infer, 0.50),
         "active_infer_p99_us": active_infer_p99,
-        "active_decode_p50_us": active_decode_p50,
+        "active_decode_p50_us": quantile_us(&active_decode, 0.50),
         "active_decode_p99_us": active_decode_p99,
-        "io_model_comparison": Value::Array(comparisons),
+        "idle_tax": json!({
+            "pre_idle_infer_p99_us": pre_idle_p99,
+            "idle_infer_p99_us": idle_p99,
+            "ratio": ratio,
+        }),
     })
 }
 
@@ -782,9 +787,9 @@ fn run_chaos(smoke: bool) -> Value {
         .fire_within("serve.decode.fused_pass", Fault::Panic, 2, 16)
         .fire_at("serve.decode.solo_retry", 0, Fault::Panic)
         // Layer 3 — transport: a panic that unwinds out of the request
-        // handler entirely (the reactor's dispatch job or the threaded
-        // model's connection thread catches it), an injected error
-        // return, and a stall that overruns the client deadline.
+        // handler entirely (the reactor's dispatch job catches it), an
+        // injected error return, and a stall that overruns the client
+        // deadline.
         .fire_at("gateway.execute", 2, Fault::Panic)
         .fire_at("gateway.execute", 7, Fault::Error)
         .fire_at(
@@ -792,9 +797,7 @@ fn run_chaos(smoke: bool) -> Value {
             12,
             Fault::Delay(CHAOS_DEADLINE + Duration::from_millis(400)),
         )
-        // Connection faults. These sites are traversed by the reactor
-        // transport only; under the threaded model they never fire and
-        // the plan is simply quieter.
+        // Connection faults in the reactor's read, write and dispatch.
         .fire_at("netcore.read", 40, Fault::Reset)
         .fire_at("netcore.write", 60, Fault::ShortWrite)
         .fire_within("netcore.dispatch", Fault::Panic, 1, 40);
@@ -816,9 +819,6 @@ fn run_chaos(smoke: bool) -> Value {
             ..GatewayConfig::default()
         },
     ));
-    // Default `ServerConfig`: the transport comes from PANACEA_IO_MODEL,
-    // so CI exercises the storm under both io models.
-    let io_model = ServerConfig::default().io_model;
     let mut server = GatewayServer::bind(Arc::clone(&gateway), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
@@ -999,14 +999,12 @@ fn run_chaos(smoke: bool) -> Value {
         stats.connections.worker_panics >= 1,
         "the transport layer never caught (and counted) the handler panic"
     );
-    if io_model == IoModel::Reactor {
-        // Every pool worker survived its caught panics.
-        assert_eq!(
-            stats.connections.workers_alive as usize,
-            ServerConfig::default().reactor_workers,
-            "reactor worker pool did not recover to full strength"
-        );
-    }
+    // Every pool worker survived its caught panics.
+    assert_eq!(
+        stats.connections.workers_alive as usize,
+        ServerConfig::default().reactor_workers,
+        "reactor worker pool did not recover to full strength"
+    );
 
     // Recovery: with the plan disarmed, the same gateway must serve
     // bit-exact traffic and health must drain back to `ok` once the
@@ -1062,7 +1060,7 @@ fn run_chaos(smoke: bool) -> Value {
     server.shutdown();
 
     println!(
-        "chaos ({io_model:?}): {}/{} calls ok, {} faulted ({} deadline_exceeded), \
+        "chaos: {}/{} calls ok, {} faulted ({} deadline_exceeded), \
          {} panics / {} transport panics / {} evictions on the wire, \
          max call {:.0}ms (budget {:.0}ms), health {} -> ok in {:.1}s ✓",
         infer.ok + decode.ok,
@@ -1079,7 +1077,6 @@ fn run_chaos(smoke: bool) -> Value {
     );
 
     json!({
-        "io_model": format!("{io_model:?}"),
         "clients": clients,
         "requests_per_client": requests,
         "ok": infer.ok + decode.ok,
@@ -1116,7 +1113,7 @@ fn main() {
     for &clients in levels {
         let gateway = nominal_gateway();
         let mut server = GatewayServer::bind(Arc::clone(&gateway), "127.0.0.1:0").expect("bind");
-        let out = run_level(server.local_addr(), clients, requests);
+        let out = run_level(server.local_addr(), clients, requests, 0);
 
         // Server-side view, queried inside the metrics window the load
         // just filled.
@@ -1218,7 +1215,7 @@ fn main() {
     };
 
     let connections = if std::env::args().any(|a| a == "--c10k") {
-        run_c10k(smoke, levels)
+        run_c10k(smoke)
     } else {
         Value::Null
     };

@@ -409,6 +409,9 @@ mod tests {
 
     #[test]
     fn disarmed_sites_fire_nothing() {
+        // Held for the whole test: a plan armed on another test thread
+        // would flip the process-global `ARMED` under these assertions.
+        let _serial = arm_serial().lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!armed());
         assert_eq!(fire("serve.worker.execute"), None);
         assert_eq!(point("serve.worker.execute"), None);

@@ -365,8 +365,7 @@ pub struct GatewayStats {
     pub admission: AdmissionStats,
     /// Overload sheds by reason, counted at the gateway's public verbs.
     pub sheds: ShedStats,
-    /// Transport-level connection gauges (open, peak, evicted),
-    /// whichever io model is serving.
+    /// Transport-level connection gauges (open, peak, evicted).
     pub connections: ConnectionStats,
     /// Milliseconds since the gateway started.
     pub uptime_ms: u64,

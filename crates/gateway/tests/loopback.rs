@@ -1017,18 +1017,16 @@ fn over_limit_connection_is_counted_evicted_with_reason() {
 
 #[test]
 fn reactor_evicts_slow_consumers_and_drain_evicts_survivors() {
-    use panacea_gateway::{IoModel, ServerConfig};
+    use panacea_gateway::ServerConfig;
     use std::io::Write;
     use std::net::TcpStream;
-    // Explicitly the reactor model (independent of PANACEA_IO_MODEL)
-    // with a tiny write backlog and a short stall timeout so a
-    // non-reading client is evicted quickly.
+    // A tiny write backlog and a short stall timeout so a non-reading
+    // client is evicted quickly.
     let gateway = Arc::new(Gateway::new(models(&["m"], 23), GatewayConfig::default()));
     let mut server = GatewayServer::bind_with(
         Arc::clone(&gateway),
         "127.0.0.1:0",
         ServerConfig {
-            io_model: IoModel::Reactor,
             max_write_backlog: 16 * 1024,
             write_stall_timeout: Duration::from_millis(300),
             ..ServerConfig::default()

@@ -11,11 +11,11 @@
 //!   (bounded read side) and a write buffer (bounded by backpressure:
 //!   while the backlog exceeds `max_write_backlog` the connection is
 //!   neither read from nor dispatched).
-//! * At most one request per connection is in flight at a time — the
-//!   same request/response sequencing the thread-per-connection server
-//!   provides. Workers finish a request by queueing a completion and
-//!   poking the wakeup pipe; the reactor matches it against the slot's
-//!   generation so a completion can never land on a reused slot.
+//! * At most one request per connection is in flight at a time, so
+//!   responses come back in request order. Workers finish a request by
+//!   queueing a completion and poking the wakeup pipe; the reactor
+//!   matches it against the slot's generation so a completion can never
+//!   land on a reused slot.
 //! * A connection whose write side makes no progress for
 //!   `write_stall_timeout` while a backlog is pending is evicted as a
 //!   slow consumer. Connections over `max_connections` are answered

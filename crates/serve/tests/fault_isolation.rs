@@ -287,9 +287,17 @@ fn queued_decode_step_expires_behind_a_stalled_pass() {
         let mgr = Arc::clone(&mgr);
         thread::spawn(move || mgr.step(a, &hidden(16, 1, 0)))
     };
-    // Let A's pass dispatch (zero linger) and hit the delay, then queue
-    // B behind it with a deadline the stall will blow through.
-    thread::sleep(Duration::from_millis(50));
+    // Wait until A's pass has dispatched (zero linger) and hit the delay
+    // — the site counts its query before it sleeps — then queue B behind
+    // it with a deadline the stall will blow through.
+    let waiting = Instant::now();
+    while guard.queries("serve.decode.fused_pass") < 1 {
+        assert!(
+            waiting.elapsed() < Duration::from_secs(5),
+            "session A's pass never reached the stall"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
     let deadline = Instant::now() + Duration::from_millis(100);
     match mgr.step_traced_deadline(b, &hidden(16, 1, 1), None, Some(deadline)) {
         Err(ServeError::DeadlineExceeded) => {}
