@@ -111,10 +111,11 @@ struct LevelOutcome {
 
 /// One load trial: `clients` concurrent connections, split between
 /// stateless infer traffic and decode sessions, all latencies measured
-/// client-side. Payloads are salted per request so the request cache
-/// never short-circuits the serving path; `salt` (below 200) shifts the
-/// infer payloads' first row, so trials repeated against one server
-/// never replay each other's cached answers.
+/// client-side. Infer payloads spell out their (client, request) pair in
+/// rows of their own, so no two requests share a payload and the request
+/// cache never short-circuits the serving path; `salt` (below 200) fills
+/// the first row, so trials repeated against one server never replay
+/// each other's cached answers.
 fn run_level(
     addr: std::net::SocketAddr,
     clients: usize,
@@ -134,8 +135,14 @@ fn run_level(
                 // Infer client: unique codes per request (no cache hits).
                 for i in 0..requests {
                     let x = panacea_tensor::Matrix::from_fn(16, 1, |r, _| {
-                        let shift = if r == 0 { salt } else { 0 };
-                        ((r * 31 + (t * 10_000 + i) * 13 + shift) % 200) as i32
+                        let code = match r {
+                            0 => salt,
+                            1 => t,
+                            2 => i % 200,
+                            3 => i / 200,
+                            _ => r * 31 + i * 13,
+                        };
+                        (code % 200) as i32
                     });
                     let begun = Instant::now();
                     client.infer_codes(CHAIN_MODEL, x).expect("infer served");

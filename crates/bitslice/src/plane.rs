@@ -12,7 +12,7 @@ use panacea_quant::dbs::{dbs_slices, dbs_truncate, DbsType};
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::slicing::{sbr_slices, straightforward_slices, MAX_SBR_LO_SLICES};
+use crate::slicing::{sbr_slice_array, straightforward_slices, MAX_SBR_LO_SLICES};
 
 /// Errors from slice-plane constructors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,11 +93,9 @@ impl SlicedWeight {
             return Err(SliceError::ValueOutOfRange { value: v, bits });
         }
         let mut planes = vec![Matrix::<i8>::zeros(w.rows(), w.cols()); n + 1];
-        for r in 0..w.rows() {
-            for c in 0..w.cols() {
-                for (i, s) in sbr_slices(w[(r, c)], n).into_iter().enumerate() {
-                    planes[i][(r, c)] = s;
-                }
+        for (idx, &v) in w.iter().enumerate() {
+            for (plane, &s) in planes.iter_mut().zip(&sbr_slice_array(v, n)) {
+                plane.as_mut_slice()[idx] = s;
             }
         }
         Ok(SlicedWeight { planes, n })
@@ -137,13 +135,14 @@ impl SlicedWeight {
     /// Exact inverse: `Σ planes[i]·8^i`.
     pub fn reconstruct(&self) -> Matrix<i32> {
         let (rows, cols) = self.planes[0].shape();
-        Matrix::from_fn(rows, cols, |r, c| {
-            self.planes
-                .iter()
-                .enumerate()
-                .map(|(i, p)| i32::from(p[(r, c)]) * self.plane_weight(i))
-                .sum()
-        })
+        let mut out = vec![0i32; rows * cols];
+        for (i, plane) in self.planes.iter().enumerate() {
+            let weight = self.plane_weight(i);
+            for (acc, &s) in out.iter_mut().zip(plane.as_slice()) {
+                *acc += i32::from(s) * weight;
+            }
+        }
+        Matrix::from_vec(rows, cols, out).expect("one value per plane cell")
     }
 }
 

@@ -43,6 +43,17 @@ pub const MAX_SBR_LO_SLICES: usize = 4;
 /// assert_eq!(s, vec![-1, 0]);
 /// ```
 pub fn sbr_slices(value: i32, n: usize) -> Vec<i8> {
+    sbr_slice_array(value, n)[..=n].to_vec()
+}
+
+/// [`sbr_slices`] without the allocation: the first `n + 1` entries are
+/// the slices, the rest zero. Slicing whole matrices calls this once per
+/// element.
+///
+/// # Panics
+///
+/// Same conditions as [`sbr_slices`].
+pub(crate) fn sbr_slice_array(value: i32, n: usize) -> [i8; MAX_SBR_LO_SLICES + 1] {
     assert!(
         n <= MAX_SBR_LO_SLICES,
         "SBR with n={n} LO slices unsupported"
@@ -54,22 +65,22 @@ pub fn sbr_slices(value: i32, n: usize) -> Vec<i8> {
         (lo_bound..=hi_bound).contains(&value),
         "value {value} does not fit in {bits} signed bits"
     );
-    let mut slices = Vec::with_capacity(n + 1);
+    let mut slices = [0i8; MAX_SBR_LO_SLICES + 1];
     let mut rest = value;
-    for _ in 0..n {
+    for slot in &mut slices[..n] {
         let lo = rest & 7; // low 3 bits, in [0, 7]
         rest >>= 3; // arithmetic shift = floor division by 8
         if rest < 0 {
             // Extend the unsigned LO slice with the sign of the part above
             // and compensate (+1) so the sum is preserved (Fig. 3(b)).
-            slices.push((lo - 8) as i8);
+            *slot = (lo - 8) as i8;
             rest += 1;
         } else {
-            slices.push(lo as i8);
+            *slot = lo as i8;
         }
     }
     debug_assert!((-8..=7).contains(&rest), "HO slice {rest} out of range");
-    slices.push(rest as i8);
+    slices[n] = rest as i8;
     slices
 }
 

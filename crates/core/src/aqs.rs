@@ -47,6 +47,22 @@ pub struct TileStats {
     pub rho_x: f64,
 }
 
+/// The one mapping from scheduling statistics to the operation counts
+/// both [`aqs_gemm`] and the prepared serving path report: every
+/// executed outer product is 16 multiplies and 16 additions.
+impl From<&TileStats> for Workload {
+    fn from(s: &TileStats) -> Self {
+        let executed = s.dwo_outer_products + s.swo_outer_products;
+        Workload {
+            mul: executed * 16,
+            add: executed * 16,
+            ema_slices: s.w_slices_loaded + s.x_slices_loaded,
+            comp_mul: s.comp_muls,
+            comp_add: s.comp_adds,
+        }
+    }
+}
+
 /// Extracts the 4×1 weight slice-vector at (`mg`, `k`) of a plane.
 #[inline]
 fn w_vec(plane: &Matrix<i8>, mg: usize, k: usize) -> [i8; VECTOR_LEN] {
@@ -90,14 +106,7 @@ fn x_vec(plane: &Matrix<u8>, k: usize, ng: usize) -> [u8; VECTOR_LEN] {
 /// `aqs_gemm(W, X, r).0 == W·X` for every `r`.
 pub fn aqs_gemm(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> (Matrix<i32>, Workload) {
     let (out, stats) = aqs_gemm_with_stats(w, x, r);
-    let wl = Workload {
-        mul: (stats.dwo_outer_products + stats.swo_outer_products) * 16,
-        add: (stats.dwo_outer_products + stats.swo_outer_products) * 16,
-        ema_slices: stats.w_slices_loaded + stats.x_slices_loaded,
-        comp_mul: stats.comp_muls,
-        comp_add: stats.comp_adds,
-    };
-    (out, wl)
+    (out, Workload::from(&stats))
 }
 
 /// Scheduling-level statistics only (no result materialization beyond the

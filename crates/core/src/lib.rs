@@ -14,9 +14,12 @@
 //!   bit-exact results while reusing already-loaded weight slices;
 //! * [`workload`] — operation/EMA counters and the closed-form Table-I
 //!   expressions they are validated against;
-//! * [`pipeline`] — a prepared quantized linear layer (weights sliced,
-//!   zero-point folded into the bias, optional requantization) tying the
-//!   whole inference flow together.
+//! * [`prepared`] — the exact path serving runs: a packed integer GEMM
+//!   that yields the AQS-GEMM's output bit for bit, with its [`TileStats`]
+//!   derived in closed form from per-`k` compression counts;
+//! * [`pipeline`] — a prepared quantized linear layer (weight panel
+//!   packed, zero-point folded into the bias, optional requantization)
+//!   tying the whole inference flow together.
 //!
 //! # Examples
 //!
@@ -39,6 +42,7 @@
 pub mod aqs;
 pub mod dense;
 pub mod pipeline;
+pub mod prepared;
 pub mod sibia;
 pub mod workload;
 

@@ -1,19 +1,24 @@
 //! A complete quantized linear layer — the unit of work Panacea executes.
 //!
 //! [`QuantizedLinear`] packages everything the paper's inference flow
-//! (Fig. 6, right half) attaches to one GEMM: the SBR-sliced symmetric
-//! weights, the calibrated asymmetric activation format (ZPM/DBS
-//! applied), the bias with the `zp·W·1` term folded in offline (Eq. 3),
-//! and optionally a requantizer producing the next layer's input codes
-//! (the PPU loop of Fig. 11). `forward` runs the AQS-GEMM — compressed,
-//! skipped, compensated, and bit-exact.
+//! (Fig. 6, right half) attaches to one GEMM: the symmetric weights,
+//! SBR-sliced once and packed for the kernel, the calibrated asymmetric
+//! activation format (ZPM/DBS applied), the bias with the `zp·W·1` term
+//! folded in offline (Eq. 3), and optionally a requantizer producing the
+//! next layer's input codes (the PPU loop of Fig. 11).
+//!
+//! `forward` runs the [`prepared`](crate::prepared) exact path: the
+//! packed integer GEMM gives the AQS-GEMM's output bit for bit, and the
+//! accelerator's [`Workload`] (skipped outer products, slice loads,
+//! compensation) comes from the closed form, not from replaying the
+//! [`aqs_gemm`](crate::aqs::aqs_gemm) loop nest.
 
-use panacea_bitslice::{SliceError, SlicedActivation, SlicedWeight};
+use panacea_bitslice::{SliceError, SlicedWeight};
 use panacea_quant::requant::Requantizer;
 use panacea_quant::{LayerQuantConfig, QuantError, Quantizer, SymmetricQuantizer};
 use panacea_tensor::Matrix;
 
-use crate::aqs::aqs_gemm;
+use crate::prepared::{closed_form_stats, exact_gemm, PreparedActivation, PreparedWeight};
 use crate::workload::Workload;
 
 /// Errors from layer preparation.
@@ -61,7 +66,7 @@ impl From<QuantError> for PipelineError {
 /// A prepared quantized linear layer (weights resident, bias folded).
 #[derive(Debug, Clone)]
 pub struct QuantizedLinear {
-    sliced_weight: SlicedWeight,
+    weight: PreparedWeight,
     w_scale: f32,
     act: LayerQuantConfig,
     /// `b̂ = b_int − zp·(W·1)`, added after the GEMM.
@@ -110,7 +115,7 @@ impl QuantizedLinear {
         let wq = SymmetricQuantizer::calibrate(w_f.as_slice(), w_bits);
         let w_int = wq.quantize_matrix(w_f);
         let n_lo = usize::from((w_bits - 4) / 3);
-        let sliced_weight = SlicedWeight::from_int(&w_int, n_lo)?;
+        let weight = PreparedWeight::new(&SlicedWeight::from_int(&w_int, n_lo)?);
         let acc_scale = f64::from(wq.params().scale) * f64::from(act.quantizer.params().scale);
         let zp = i64::from(act.quantizer.params().zero_point);
         let folded_bias = (0..w_int.rows())
@@ -121,7 +126,7 @@ impl QuantizedLinear {
             })
             .collect();
         Ok(QuantizedLinear {
-            sliced_weight,
+            weight,
             w_scale: wq.params().scale,
             act,
             folded_bias,
@@ -154,7 +159,14 @@ impl QuantizedLinear {
 
     /// Runs the layer on already-quantized input codes (`K × N`,
     /// unsigned). Returns the biased integer accumulators
-    /// (`≈ (Wx + b)/s_W s_x`) and the measured workload.
+    /// (`≈ (Wx + b)/s_W s_x`) and the AQS-GEMM workload.
+    ///
+    /// The accumulators are bit-identical to the
+    /// [`aqs_gemm`](crate::aqs::aqs_gemm) spec plus the folded bias, and
+    /// the workload equals the spec's on every field; both come from the
+    /// [`prepared`](crate::prepared) path, which computes the exact
+    /// product with a packed integer GEMM and the accounting in closed
+    /// form.
     ///
     /// # Panics
     ///
@@ -162,9 +174,15 @@ impl QuantizedLinear {
     /// format.
     pub fn forward(&self, x_codes: &Matrix<i32>) -> (Matrix<i32>, Workload) {
         let k = self.act.quantizer.params().bits / 4 - 1;
-        let sx = SlicedActivation::from_uint(x_codes, usize::from(k), self.act.dbs_type)
-            .expect("input codes exceed the calibrated activation format");
-        let (mut acc, wl) = aqs_gemm(&self.sliced_weight, &sx, self.act.frequent_ho_slice);
+        let x = PreparedActivation::from_codes(
+            x_codes,
+            usize::from(k),
+            self.act.dbs_type,
+            self.act.frequent_ho_slice,
+        )
+        .expect("input codes exceed the calibrated activation format");
+        let mut acc = exact_gemm(&self.weight, &x);
+        let wl = Workload::from(&closed_form_stats(&self.weight, &x));
         for m in 0..acc.rows() {
             let b = self.folded_bias[m];
             for v in acc.row_mut(m) {
@@ -367,6 +385,30 @@ mod tests {
         // The only difference allowed is the DBS truncation constant, which
         // cancels because both paths use truncated codes.
         assert_eq!(acc, direct);
+    }
+
+    #[test]
+    fn forward_equals_spec_plus_folded_bias() {
+        use crate::aqs::aqs_gemm;
+        use panacea_bitslice::SlicedActivation;
+        for (seed, w_bits) in [(69, 4), (70, 7), (71, 10)] {
+            let (w, x, bias) = setup(seed);
+            let cfg = calib(&x, true);
+            let layer = QuantizedLinear::prepare(&w, &bias, w_bits, cfg).expect("prepare");
+            let codes = cfg.quantizer.quantize_matrix(&x);
+            let (acc, wl) = layer.forward(&codes);
+            let w_int = SymmetricQuantizer::calibrate(w.as_slice(), w_bits).quantize_matrix(&w);
+            let sw = SlicedWeight::from_int(&w_int, usize::from((w_bits - 4) / 3)).expect("slices");
+            let sx = SlicedActivation::from_uint(&codes, 1, cfg.dbs_type).expect("codes");
+            let (spec, spec_wl) = aqs_gemm(&sw, &sx, cfg.frequent_ho_slice);
+            assert_eq!(wl, spec_wl, "w_bits={w_bits}");
+            for m in 0..acc.rows() {
+                let b = layer.folded_bias[m];
+                for (&a, &g) in acc.row(m).iter().zip(spec.row(m)) {
+                    assert_eq!(i64::from(a), i64::from(g) + b, "w_bits={w_bits}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!
 //! Shards are independent LRUs behind their own locks, so concurrent
 //! connection handlers rarely contend; eviction is strict
-//! least-recently-used per shard.
+//! least-recently-used per shard. Each shard is bounded twice: by entry
+//! count and by the bytes of the request and result payloads it holds,
+//! so resident memory is capped by [`CacheConfig::max_bytes`] whatever
+//! the payload sizes.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -43,11 +46,12 @@ pub struct CacheConfig {
     pub capacity: usize,
     /// Number of independently locked LRU shards.
     pub shards: usize,
-    /// Largest single entry (request payload + result payload, in
-    /// bytes) worth keeping. `capacity` bounds the entry *count*, so without this a
-    /// handful of near-request-size-limit payloads could pin gigabytes;
-    /// oversized responses are simply not cached.
-    pub max_entry_bytes: usize,
+    /// Total bytes of cached request and result payloads, split evenly
+    /// across the shards. A shard evicts least-recently-used entries until
+    /// a new one fits its share, and an entry larger than the whole share
+    /// is not cached. `capacity` bounds only the entry *count*, so without
+    /// this budget large never-repeated payloads could pin gigabytes.
+    pub max_bytes: usize,
 }
 
 impl Default for CacheConfig {
@@ -55,7 +59,7 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity: 1024,
             shards: 8,
-            max_entry_bytes: 4 << 20,
+            max_bytes: 16 << 20,
         }
     }
 }
@@ -117,6 +121,8 @@ struct Node {
     key: CacheKey,
     digest: u64,
     value: CachedOutput,
+    /// Request plus result payload bytes, charged to the shard's budget.
+    bytes: usize,
     prev: usize,
     next: usize,
 }
@@ -133,6 +139,8 @@ struct LruShard {
     head: usize,
     tail: usize,
     len: usize,
+    /// Bytes of all resident entries.
+    bytes: usize,
 }
 
 impl LruShard {
@@ -192,12 +200,18 @@ impl LruShard {
         Some(self.node(i).value.clone())
     }
 
-    /// Inserts (or refreshes) an entry; returns how many entries the
-    /// capacity bound evicted.
-    fn insert(&mut self, digest: u64, key: CacheKey, value: CachedOutput, capacity: usize) -> u64 {
-        if capacity == 0 {
-            return 0;
-        }
+    /// Inserts (or refreshes) an entry of `bytes` bytes; returns how many
+    /// entries the count and byte bounds evicted. The caller has checked
+    /// that the entry fits `budget` on its own.
+    fn insert(
+        &mut self,
+        digest: u64,
+        key: CacheKey,
+        value: CachedOutput,
+        bytes: usize,
+        capacity: usize,
+        budget: usize,
+    ) -> u64 {
         if let Some(i) = self.find(digest, key.model, &key.payload) {
             // Bit-exact key already resident: refresh recency, keep the
             // (necessarily identical) value.
@@ -206,7 +220,7 @@ impl LruShard {
             return 0;
         }
         let mut evicted = 0;
-        while self.len >= capacity {
+        while self.len >= capacity || self.bytes + bytes > budget {
             self.evict_tail();
             evicted += 1;
         }
@@ -214,6 +228,7 @@ impl LruShard {
             key,
             digest,
             value,
+            bytes,
             prev: NIL,
             next: NIL,
         };
@@ -230,6 +245,7 @@ impl LruShard {
         self.buckets.entry(digest).or_default().push(i);
         self.push_front(i);
         self.len += 1;
+        self.bytes += bytes;
         evicted
     }
 
@@ -248,6 +264,7 @@ impl LruShard {
         }
         self.free.push(i);
         self.len -= 1;
+        self.bytes -= node.bytes;
     }
 }
 
@@ -256,41 +273,43 @@ impl LruShard {
 pub struct RequestCache {
     shards: Vec<Mutex<LruShard>>,
     capacity_per_shard: usize,
-    max_entry_bytes: usize,
+    bytes_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl RequestCache {
-    /// Builds a cache with `config.capacity` total entries spread over
-    /// `config.shards` independently locked LRU shards.
+    /// Builds a cache with `config.capacity` total entries and
+    /// `config.max_bytes` total payload bytes spread over `config.shards`
+    /// independently locked LRU shards.
     pub fn new(config: CacheConfig) -> Self {
         let shards = config.shards.max(1);
         RequestCache {
             shards: (0..shards).map(|_| Mutex::new(LruShard::new())).collect(),
             capacity_per_shard: config.capacity.div_ceil(shards),
-            max_entry_bytes: config.max_entry_bytes,
+            bytes_per_shard: config.max_bytes / shards,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// Whether this cache stores anything at all (capacity above zero) —
-    /// callers can skip key hashing and payload clones when it does not.
+    /// Whether this cache stores anything at all (capacity and byte
+    /// budget above zero) — callers can skip key hashing and payload
+    /// clones when it does not.
     pub fn enabled(&self) -> bool {
-        self.capacity_per_shard > 0
+        self.capacity_per_shard > 0 && self.bytes_per_shard > 0
     }
 
     /// Whether an entry of `cells` 4-byte elements (request payload
     /// plus result payload — `i32` codes and `f32` hidden states are
-    /// the same width) fits [`CacheConfig::max_entry_bytes`]. Both
-    /// counts are known before a request runs, so callers can skip the
-    /// payload clone for entries [`insert`](Self::insert) would reject
-    /// anyway.
+    /// the same width) fits one shard's share of
+    /// [`CacheConfig::max_bytes`]. Both counts are known before a request
+    /// runs, so callers can skip the payload clone for entries
+    /// [`insert`](Self::insert) would reject anyway.
     pub fn admits(&self, cells: usize) -> bool {
-        cells.saturating_mul(4) <= self.max_entry_bytes
+        entry_bytes(cells) <= self.bytes_per_shard
     }
 
     fn digest(model: u64, payload: &Payload) -> u64 {
@@ -323,14 +342,14 @@ impl RequestCache {
     }
 
     /// Stores a response for `(model, payload)`, evicting
-    /// least-recently used entries if its shard is full. `model` is the
-    /// producing model's
+    /// least-recently used entries until its shard has room for it by
+    /// both entry count and bytes. `model` is the producing model's
     /// [`instance_id`](panacea_serve::PreparedModel::instance_id).
-    /// Entries larger than [`CacheConfig::max_entry_bytes`] are silently
-    /// skipped — the count-based capacity cannot bound their footprint.
+    /// Entries larger than a shard's share of [`CacheConfig::max_bytes`]
+    /// are silently skipped.
     pub fn insert(&self, model: u64, payload: Payload, value: CachedOutput) {
         let cells = payload.cells() + value.payload.cells();
-        if !self.admits(cells) {
+        if !self.enabled() || !self.admits(cells) {
             return;
         }
         let digest = Self::digest(model, &payload);
@@ -342,7 +361,9 @@ impl RequestCache {
                 digest,
                 CacheKey { model, payload },
                 value,
+                entry_bytes(cells),
                 self.capacity_per_shard,
+                self.bytes_per_shard,
             );
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -371,6 +392,11 @@ impl RequestCache {
             entries: self.len(),
         }
     }
+}
+
+/// Bytes an entry of `cells` 4-byte payload elements is charged.
+fn entry_bytes(cells: usize) -> usize {
+    cells.saturating_mul(4)
 }
 
 #[cfg(test)]
@@ -466,7 +492,7 @@ mod tests {
         let cache = RequestCache::new(CacheConfig {
             capacity: 8,
             shards: 1,
-            max_entry_bytes: 64,
+            max_bytes: 64,
         });
         // 4×2 codes + 2×2 acc = 12 cells (48 bytes): fits.
         cache.insert(1, codes(1), output(1));
@@ -477,6 +503,62 @@ mod tests {
         cache.insert(1, big.clone(), output(2));
         assert_eq!(cache.len(), 1, "oversized entry was cached");
         assert!(cache.get(1, &big).is_none());
+    }
+
+    /// `codes` + `output` entries: 4×2 codes and 2×2 accumulators.
+    const ENTRY_BYTES: usize = (8 + 4) * 4;
+
+    /// Request and result payload bytes resident across all shards.
+    fn resident_bytes(cache: &RequestCache) -> usize {
+        cache.shards.iter().map(|s| s.lock().unwrap().bytes).sum()
+    }
+
+    #[test]
+    fn lru_evicts_by_bytes_within_the_budget() {
+        // Room for three entries by bytes, many more by count.
+        let budget = 3 * ENTRY_BYTES;
+        let cache = RequestCache::new(CacheConfig {
+            capacity: 100,
+            shards: 1,
+            max_bytes: budget,
+        });
+        for salt in 0..10 {
+            cache.insert(1, codes(salt), output(salt));
+            assert!(resident_bytes(&cache) <= budget, "over budget at {salt}");
+            // Keep entry 0 hot: it must outlive every colder entry.
+            assert!(cache.get(1, &codes(0)).is_some(), "hot entry evicted");
+        }
+        assert_eq!(cache.len(), 3);
+        assert_eq!(resident_bytes(&cache), budget);
+        assert_eq!(cache.stats().evictions, 7);
+        // Survivors: the hot entry and the two most recent inserts.
+        for salt in [0, 8, 9] {
+            assert!(cache.get(1, &codes(salt)).is_some(), "{salt} evicted");
+        }
+        assert!(cache.get(1, &codes(7)).is_none(), "LRU victim survived");
+    }
+
+    #[test]
+    fn eviction_releases_the_budget() {
+        let cache = RequestCache::new(CacheConfig {
+            capacity: 100,
+            shards: 1,
+            max_bytes: 2 * ENTRY_BYTES,
+        });
+        cache.insert(1, codes(1), output(1));
+        cache.insert(1, codes(2), output(2));
+        assert_eq!(resident_bytes(&cache), 2 * ENTRY_BYTES);
+        // 4×4 codes + 2×2 accumulators = 80 bytes: both residents must go
+        // to make room, and their bytes with them.
+        let big = Payload::Codes(Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as i32));
+        cache.insert(1, big.clone(), output(3));
+        assert_eq!((cache.len(), resident_bytes(&cache)), (1, 80));
+        assert_eq!(cache.stats().evictions, 2);
+        // Evicting the big entry frees its 80 bytes for a small one.
+        cache.insert(1, codes(4), output(4));
+        assert_eq!((cache.len(), resident_bytes(&cache)), (1, ENTRY_BYTES));
+        assert!(cache.get(1, &big).is_none());
+        assert!(cache.get(1, &codes(4)).is_some());
     }
 
     #[test]

@@ -160,38 +160,50 @@ pub fn multi_head_attention_decode(
     let t_new = qkv_new.cols();
     let dh = d / n_heads;
     let scale = 1.0 / (dh as f32).sqrt();
+    // The new tokens' Q/K/V in the prefix's token-major layout, so every
+    // score and context sum below walks contiguous feature slices.
+    let token_major = |part: usize| {
+        let mut out = vec![0f32; t_new * d];
+        for f in 0..d {
+            for (i, &v) in qkv_new.row(part * d + f).iter().enumerate() {
+                out[i * d + f] = v;
+            }
+        }
+        out
+    };
+    let (q_new, k_new, v_new) = (token_major(0), token_major(1), token_major(2));
     let mut ctx = Matrix::<f32>::zeros(d, t_new);
+    let mut row = Vec::with_capacity(t_prev + t_new);
+    let mut acc = vec![0f32; dh];
     for h in 0..n_heads {
-        let q0 = h * dh;
+        let head = h * dh..(h + 1) * dh;
         for i in 0..t_new {
             // Global attention span of new token i: every cached token
             // plus the new tokens up to and including itself.
-            let span = t_prev + i + 1;
-            let mut row = vec![0f32; span];
-            for (j, slot) in row.iter_mut().enumerate() {
+            let q = &q_new[i * d..(i + 1) * d][head.clone()];
+            let keys = k_prefix
+                .chunks_exact(d)
+                .chain(k_new[..(i + 1) * d].chunks_exact(d));
+            row.clear();
+            row.extend(keys.map(|k| {
                 let mut dot = 0f32;
-                for f in 0..dh {
-                    let k = if j < t_prev {
-                        k_prefix[j * d + q0 + f]
-                    } else {
-                        qkv_new[(d + q0 + f, j - t_prev)]
-                    };
-                    dot += qkv_new[(q0 + f, i)] * k;
+                for (&a, &b) in q.iter().zip(&k[head.clone()]) {
+                    dot += a * b;
                 }
-                *slot = dot * scale;
-            }
+                dot * scale
+            }));
             softmax_in_place(&mut row);
-            for f in 0..dh {
-                let mut acc = 0f32;
-                for (j, &a) in row.iter().enumerate() {
-                    let v = if j < t_prev {
-                        v_prefix[j * d + q0 + f]
-                    } else {
-                        qkv_new[(2 * d + q0 + f, j - t_prev)]
-                    };
-                    acc += a * v;
+            // Feature by feature, the context sum still runs over the
+            // span in ascending order.
+            acc.fill(0.0);
+            let values = v_prefix.chunks_exact(d).chain(v_new.chunks_exact(d));
+            for (v, &a) in values.zip(&row) {
+                for (slot, &x) in acc.iter_mut().zip(&v[head.clone()]) {
+                    *slot += a * x;
                 }
-                ctx[(q0 + f, i)] = acc;
+            }
+            for (f, &value) in head.clone().zip(&acc) {
+                ctx[(f, i)] = value;
             }
         }
     }
